@@ -2,14 +2,10 @@
 // Shared pieces of the GraphBLAS coloring implementations (Algorithms 2-4).
 
 #include <cstdint>
-#include <span>
 
 #include "core/result.hpp"
 #include "graphblas/grb.hpp"
-#include "sim/device.hpp"
 #include "sim/rng.hpp"
-#include "sim/scratch.hpp"
-#include "sim/slot_range.hpp"
 
 namespace gcol::color::detail {
 
@@ -33,7 +29,7 @@ inline grb::Info set_random_weights(grb::Vector<Weight>& weight,
   // family's (stream 0) for the same user seed, as distinct cuRAND streams
   // would be on the GPU.
   const sim::CounterRng rng(options.seed, 0xB1A5);
-  weight.fill(Weight{0});
+  GRB_TRY(grb::assign(weight, nullptr, Weight{0}));
   return grb::apply_indexed(
       weight, nullptr,
       [&rng, &options](grb::Index i, Weight) {
@@ -47,6 +43,13 @@ inline grb::Info set_random_weights(grb::Vector<Weight>& weight,
       weight);
 }
 
+/// Replace semantics: positions the mask or the operation leaves out end
+/// with no entry, so an output reused round after round needs no clear().
+/// With the weight vector as value mask (nonzero == uncolored), the
+/// selection vxm gives colored vertices no max entry and never gathers
+/// their rows (paper §III-A1).
+inline constexpr grb::Descriptor kReplace{.replace = true};
+
 /// Collapses a vector to exact 0/1 values in place. The GT comparisons of
 /// Algorithms 2-3 can leave raw weights at union-only positions; the paper's
 /// subsequent Plus-reduce "succ" test only needs emptiness, but booleanizing
@@ -55,52 +58,6 @@ template <typename T>
 grb::Info booleanize(grb::Vector<T>& v) {
   return grb::apply(
       v, nullptr, [](T x) { return static_cast<T>(x != T{0} ? 1 : 0); }, v);
-}
-
-/// Mirrors a dense or bitmap mask vector into `active` bytes (value
-/// semantics: byte set where an entry exists and is nonzero) and returns the
-/// set-byte count — the round's "succ" test. Under --graph-replay this one
-/// launch replaces the grb::reduce pair (reduce_cast + sim::reduce) AND
-/// feeds the recorded masked-assign graphs, which read `active` as their
-/// value mask (DESIGN.md §3i): three barriers become one. The count equals
-/// the Plus-reduce of a booleanized mask exactly. `v` must not be sparse.
-inline std::int64_t mirror_count(sim::Device& device, const char* name,
-                                 const grb::Vector<Weight>& v,
-                                 std::span<std::uint8_t> active) {
-  const std::span<const Weight> values = v.dense_values();
-  const std::span<const std::uint8_t> present =
-      v.is_bitmap() ? v.bitmap_present() : std::span<const std::uint8_t>{};
-  const auto n = static_cast<std::int64_t>(values.size());
-  const std::span<std::int64_t> partials =
-      device.scratch().get<std::int64_t>(sim::ScratchLane::kPartials,
-                                         device.num_workers());
-  device.launch_slots(
-      name,
-      [&](unsigned slot, unsigned num_slots) {
-        const auto [begin, end] = sim::slot_range(slot, num_slots, n);
-        std::int64_t local = 0;
-        for (std::int64_t i = begin; i < end; ++i) {
-          const auto ui = static_cast<std::size_t>(i);
-          const bool set = (present.empty() || present[ui] != 0) &&
-                           values[ui] != Weight{0};
-          active[ui] = set ? 1 : 0;
-          local += set ? 1 : 0;
-        }
-        partials[slot] = local;
-      },
-      nullptr,
-      [n, bitmap = !present.empty()](unsigned slot, unsigned num_slots) {
-        const auto [begin, end] = sim::slot_range(slot, num_slots, n);
-        // Per position: the value gather (plus the present byte for bitmap
-        // storage) and the mirrored byte store; one partial per slot.
-        return sim::Traffic{
-            (end - begin) * (static_cast<std::int64_t>(sizeof(Weight)) +
-                             (bitmap ? 1 : 0)),
-            (end - begin) + static_cast<std::int64_t>(sizeof(std::int64_t))};
-      });
-  std::int64_t total = 0;
-  for (const std::int64_t partial : partials) total += partial;
-  return total;
 }
 
 }  // namespace gcol::color::detail

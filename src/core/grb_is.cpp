@@ -1,12 +1,10 @@
 #include "core/grb_is.hpp"
 
-#include <vector>
-
 #include "core/grb_common.hpp"
 #include "core/verify.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
-#include "sim/launch_graph.hpp"
+#include "sim/device.hpp"
 #include "sim/timer.hpp"
 
 namespace gcol::color {
@@ -35,59 +33,14 @@ Coloring grb_is_color(const graph::Csr& csr, const GrbIsOptions& options) {
   grb::assign(c, nullptr, std::int32_t{0});
   detail::set_random_weights(weight, options);
 
-  // Launch-graph replay (DESIGN.md §3i): the selection pipeline rebuilds its
-  // vectors through write_back's fresh buffers and stays eager, but c and
-  // weight are dense with stable storage, so the two trailing masked assigns
-  // (write_back + count_if each: four barriers) become one recorded in-place
-  // node. The round's frontier mirror doubles as the succ reduction
-  // (mirror_count), absorbing the reduce_cast + sim::reduce pair too: the
-  // eager round tail's six barriers collapse to two (mirror + replay).
-  sim::LaunchGraph assign_graph;
-  std::vector<std::uint8_t> active;
-  std::int32_t round_color = 0;
-  bool replay_assign = options.graph_replay &&
-                       c.storage() == grb::Storage::kDense &&
-                       weight.storage() == grb::Storage::kDense;
-  if (replay_assign) {
-    active.assign(static_cast<std::size_t>(n), 0);
-    std::int32_t* c_data = c.dense_values().data();
-    Weight* w_data = weight.dense_values().data();
-    const std::uint8_t* active_ptr = active.data();
-    const std::int32_t* color_cell = &round_color;
-    device.begin_capture(assign_graph);
-    device.capture_footprint(
-        sim::Footprint{}
-            .reads(active_ptr, n)
-            .reads(color_cell, static_cast<std::int64_t>(sizeof(std::int32_t)))
-            .writes_aligned(c_data,
-                            static_cast<std::int64_t>(n) *
-                                static_cast<std::int64_t>(sizeof(std::int32_t)),
-                            n)
-            .writes_aligned(w_data,
-                            static_cast<std::int64_t>(n) *
-                                static_cast<std::int64_t>(sizeof(Weight)),
-                            n));
-    device.launch(
-        "grb_is::assign_colors", n,
-        [=](std::int64_t i) {
-          const auto ui = static_cast<std::size_t>(i);
-          if (active_ptr[ui] != 0) {
-            c_data[ui] = *color_cell;
-            w_data[ui] = Weight{0};
-          }
-        },
-        sim::Schedule::kStatic, 0, nullptr,
-        // Per position: the mask byte; the masked stores are data-dependent
-        // and excluded (structural floor, like grb::write_back).
-        sim::Traffic{1, 0});
-    device.end_capture();
-  }
-
   std::int64_t colored_total = 0;
   for (std::int32_t color = 1; color <= options.max_iterations; ++color) {
     const obs::ScopedPhase phase("grb_is::round");
-    // Find max of neighbors (l.8).
-    grb::vxm(max, nullptr, grb::max_times_semiring<Weight>(), weight, a);
+    // Find max of neighbors (l.8) for the uncolored vertices only: a
+    // colored vertex gets no max entry, and the union below then sees its
+    // weight 0, which booleanizes to "not selected" exactly as before.
+    grb::vxm(max, &weight, grb::max_times_semiring<Weight>(), weight, a,
+             detail::kReplace);
     // Find all largest uncolored nodes (l.9); union semantics make
     // neighborless candidates (missing max entry) members automatically.
     grb::eWiseAdd(frontier, nullptr, grb::Greater{}, weight, max);
@@ -95,29 +48,15 @@ Coloring grb_is_color(const graph::Csr& csr, const GrbIsOptions& options) {
     // Stop when the frontier is empty (l.11-15). The plus-reduce over the
     // 0/1 frontier doubles as the independent-set size for the metrics.
     Weight succ = 0;
-    const bool round_replays = replay_assign && !frontier.is_sparse();
-    if (round_replays) {
-      succ = static_cast<Weight>(detail::mirror_count(
-          device, "grb_is::sync_frontier", frontier, active));
-    } else {
-      grb::reduce(&succ, grb::plus_monoid<Weight>(), frontier);
-    }
+    grb::reduce(&succ, grb::plus_monoid<Weight>(), frontier);
     if (succ == 0) break;
     result.metrics.push("frontier", n - colored_total);
     colored_total += static_cast<std::int64_t>(succ);
     result.metrics.push("colored", colored_total);
     result.metrics.push("colors_opened", color);
     // Assign new color; remove colored nodes from candidates (l.17-19).
-    if (round_replays) {
-      round_color = color;
-      device.replay(assign_graph);
-    } else {
-      grb::assign(c, &frontier, color);
-      grb::assign(weight, &frontier, Weight{0});
-      // write_back may have adopted fresh buffers for c / weight; the
-      // recorded pointers are stale from here on, so stay eager.
-      replay_assign = false;
-    }
+    grb::assign(c, &frontier, color);
+    grb::assign(weight, &frontier, Weight{0});
     ++result.iterations;
   }
 

@@ -11,7 +11,6 @@
 #include "obs/trace.hpp"
 #include "sim/advance.hpp"
 #include "sim/bitops.hpp"
-#include "sim/launch_graph.hpp"
 #include "sim/scratch.hpp"
 #include "sim/simd.hpp"
 #include "sim/timer.hpp"
@@ -60,11 +59,10 @@ std::int32_t jp_min_color_pure(const grb::Matrix<Weight>& a,
                                PureScratch& s) {
   // Find the frontier's COLORED neighbors: Boolean vxm masked by the color
   // vector (value mask: nonzero == colored), Alg. 4 l.3.
-  s.nbr.clear();
-  grb::vxm(s.nbr, &c, grb::boolean_semiring<Weight>(), frontier, a);
+  grb::vxm(s.nbr, &c, grb::boolean_semiring<Weight>(), frontier, a,
+           detail::kReplace);
   // Map the indicator to the neighbors' colors (l.5).
-  s.used.clear();
-  grb::eWiseMult(s.used, nullptr, grb::Times{}, s.nbr, c);
+  grb::eWiseMult(s.used, nullptr, grb::Times{}, s.nbr, c, detail::kReplace);
   // Fill the possible-colors array and scatter used colors into it (l.7-9).
   grb::assign(s.palette, nullptr, Weight{0});
   grb::scatter(s.palette, nullptr, s.used, Weight{1});
@@ -187,90 +185,26 @@ Coloring grb_jpl_color(const graph::Csr& csr, const GrbJplOptions& options) {
   grb::assign(c, nullptr, std::int32_t{0});
   detail::set_random_weights(weight, options);
 
-  // Launch-graph replay (DESIGN.md §3i): the GraphBLAS round rebuilds its
-  // vectors through write_back, which adopts a FRESH buffer every call — no
-  // stable pointers to record, so the selection pipeline stays eager (the
-  // design's automatic fallback). What IS stable are c and weight once
-  // dense: under --graph-replay the two trailing masked assigns become one
-  // recorded in-place node (identical masked-assign semantics — c and
-  // weight provably stay dense either way) fed by a mirror of the round's
-  // frontier whose one launch also computes the succ reduction
-  // (detail::mirror_count), so the eager round tail — reduce_cast +
-  // sim::reduce + two write_back + count pairs, six barriers — becomes
-  // mirror + replay: two.
-  sim::LaunchGraph assign_graph;
-  std::vector<std::uint8_t> active;
-  std::int32_t round_color = 0;
-  bool replay_assign = options.graph_replay &&
-                       c.storage() == grb::Storage::kDense &&
-                       weight.storage() == grb::Storage::kDense;
-  if (replay_assign) {
-    active.assign(static_cast<std::size_t>(n), 0);
-    std::int32_t* c_data = c.dense_values().data();
-    Weight* w_data = weight.dense_values().data();
-    const std::uint8_t* active_ptr = active.data();
-    const std::int32_t* color_cell = &round_color;
-    device.begin_capture(assign_graph);
-    device.capture_footprint(
-        sim::Footprint{}
-            .reads(active_ptr, n)
-            .reads(color_cell, static_cast<std::int64_t>(sizeof(std::int32_t)))
-            .writes_aligned(c_data,
-                            static_cast<std::int64_t>(n) *
-                                static_cast<std::int64_t>(sizeof(std::int32_t)),
-                            n)
-            .writes_aligned(w_data,
-                            static_cast<std::int64_t>(n) *
-                                static_cast<std::int64_t>(sizeof(Weight)),
-                            n));
-    device.launch(
-        "grb_jpl::assign_colors", n,
-        [=](std::int64_t i) {
-          const auto ui = static_cast<std::size_t>(i);
-          if (active_ptr[ui] != 0) {
-            c_data[ui] = *color_cell;
-            w_data[ui] = Weight{0};
-          }
-        },
-        sim::Schedule::kStatic, 0, nullptr,
-        // Per position: the mask byte; the masked stores are data-dependent
-        // and excluded (structural floor, like grb::write_back).
-        sim::Traffic{1, 0});
-    device.end_capture();
-  }
-
   std::int64_t colored_total = 0;
   std::int32_t max_color = 0;
   for (std::int32_t round = 1; round <= options.max_iterations; ++round) {
     const obs::ScopedPhase phase("grb_jpl::round");
-    // Select the independent set exactly as Algorithm 2 does.
-    grb::vxm(max, nullptr, grb::max_times_semiring<Weight>(), weight, a);
+    // Select the independent set exactly as Algorithm 2 does, the vxm
+    // masked to the uncolored vertices.
+    grb::vxm(max, &weight, grb::max_times_semiring<Weight>(), weight, a,
+             detail::kReplace);
     grb::eWiseAdd(frontier, nullptr, grb::Greater{}, weight, max);
     detail::booleanize(frontier);
     Weight succ = 0;
-    const bool round_replays = replay_assign && !frontier.is_sparse();
-    if (round_replays) {
-      succ = static_cast<Weight>(detail::mirror_count(
-          device, "grb_jpl::sync_frontier", frontier, active));
-    } else {
-      grb::reduce(&succ, grb::plus_monoid<Weight>(), frontier);
-    }
+    grb::reduce(&succ, grb::plus_monoid<Weight>(), frontier);
     if (succ == 0) break;
     // GRAPHBLASJPINNER replaces the fresh color with the minimum available.
     const std::int32_t min_color =
         options.bit_packed_palette
             ? jp_min_color_fused(device, csr, c, frontier, max_color)
             : jp_min_color_pure(a, c, frontier, *pure);
-    if (round_replays) {
-      round_color = min_color;
-      device.replay(assign_graph);
-    } else {
-      grb::assign(c, &frontier, min_color);
-      grb::assign(weight, &frontier, Weight{0});
-      // write_back may have adopted fresh buffers for c / weight; the
-      // recorded pointers are stale from here on, so stay eager.
-      replay_assign = false;
-    }
+    grb::assign(c, &frontier, min_color);
+    grb::assign(weight, &frontier, Weight{0});
     result.metrics.push("frontier", n - colored_total);
     colored_total += static_cast<std::int64_t>(succ);
     result.metrics.push("colored", colored_total);

@@ -86,6 +86,8 @@ struct Options {
   /// elision, DESIGN.md §3i). Per-kernel launch counts and — for the
   /// deterministic algorithms — colors are identical either way; rounds
   /// whose grid shape varies fall back to eager launches automatically.
+  /// The GraphBLAS family (grb_is, grb_jpl, grb_jpl_pure, grb_mis) ignores
+  /// it: each grb:: operation is already one in-place launch.
   bool graph_replay = false;
 };
 

@@ -2,19 +2,29 @@
 // The GraphBLAS operations used by the paper's Algorithms 2–4, plus the
 // GxB_scatter extension the paper introduces for Jones-Plassmann (§IV-A3).
 //
-// Execution model: every operation computes its result into dense
-// (values, present) buffers with one or two virtual-GPU kernel launches,
-// then merges into the output under mask/replace semantics:
+// Execution model: assign, apply(_indexed), eWiseAdd, eWiseMult, pull vxm
+// and reduce are each ONE virtual-GPU kernel launch, and the producing
+// kernel writes straight into w's own buffers (detail::produce_into). Per
+// position it evaluates the GraphBLAS C API's masked-assignment rule
 //
-//   out_present[i] — the operation produced an entry at i
-//   writes(i)      = mask allows i && out_present[i]
-//   final(i)       = writes(i) ? out[i] : (replace ? none : old w[i])
+//   writes(i) = mask allows i && the operation produced an entry at i
+//   final(i)  = writes(i) ? new(i) : (replace ? none : old w(i))
 //
-// which is exactly the GraphBLAS C API's masked-assignment rule. vxm
-// implements both the push (iterate sparse input, scatter with atomics) and
-// pull (iterate masked outputs, gather) traversals with GraphBLAST's
-// direction-optimizing heuristic [Yang et al., ICPP 2018].
+// through an O(1) mask view, writes every presence byte itself and counts
+// the kept entries in per-slot partials, so w ends dense iff every position
+// holds an entry and bitmap otherwise — no host-side fill, no separate
+// merge or count launch, and no reallocation of a vector reused across
+// rounds. Position i reads only position i of its inputs and of w, so w may
+// alias any input or the mask. A temporary remains only where a kernel
+// reads positions it does not write: push vxm's scatter, and vxm whose w
+// aliases u. A sparse w with entries that the merge keeps is snapshotted
+// first (one extra launch); sparse inputs are viewed through a densified
+// scratch copy. vxm implements both the push (iterate sparse input, scatter
+// with atomics) and pull (iterate masked outputs, gather) traversals with
+// GraphBLAST's direction-optimizing heuristic [Yang et al., ICPP 2018].
 
+#include <algorithm>
+#include <atomic>
 #include <cstdint>
 #include <optional>
 #include <span>
@@ -28,11 +38,10 @@
 #include "graphblas/vector.hpp"
 #include "sim/advance.hpp"
 #include "sim/atomics.hpp"
-#include "sim/compact.hpp"
 #include "sim/device.hpp"
-#include "sim/reduce.hpp"
 #include "sim/scan.hpp"
 #include "sim/scratch.hpp"
+#include "sim/slot_range.hpp"
 
 namespace gcol::grb {
 
@@ -43,52 +52,11 @@ inline constexpr std::int64_t kPushEdgeBalanceMinEntries = 4096;
 
 namespace detail {
 
-/// Resolves mask + descriptor into a queryable predicate over positions.
-template <typename M>
-class MaskView {
- public:
-  MaskView(const Vector<M>* mask, const Descriptor& desc)
-      : mask_(mask),
-        structure_(desc.mask_structure),
-        complement_(desc.mask_complement) {}
-
-  /// True when no mask constrains writes at all.
-  [[nodiscard]] bool trivial() const noexcept {
-    return mask_ == nullptr && !complement_;
-  }
-
-  [[nodiscard]] bool allows(Index i) const noexcept {
-    if (mask_ == nullptr) {
-      // No mask: everything writable; complementing "all" blocks everything.
-      return !complement_;
-    }
-    bool set;
-    if (structure_) {
-      set = mask_->has(i);
-    } else {
-      M value{};
-      set = mask_->extract_element(&value, i) == Info::kSuccess &&
-            value != M{0};
-    }
-    return complement_ ? !set : set;
-  }
-
- private:
-  const Vector<M>* mask_;
-  bool structure_;
-  bool complement_;
-};
-
-/// No-mask tag with the same interface.
-struct NoMask {
-  [[nodiscard]] static bool trivial() noexcept { return true; }
-  [[nodiscard]] static bool allows(Index) noexcept { return true; }
-};
-
-/// O(1)-lookup view of a vector: dense vectors are viewed in place; sparse
-/// vectors are scattered once into scratch (values + presence) so element
-/// probes inside O(n)/O(m) loops never pay a binary search. This mirrors
-/// GraphBLAST's densify-before-dense-op strategy.
+/// O(1)-lookup view of a vector: dense and bitmap vectors are viewed in
+/// place; an empty sparse vector is "nothing present" at no cost; other
+/// sparse vectors are scattered once into scratch (values + presence) so
+/// element probes inside O(n)/O(m) loops never pay a binary search. This
+/// mirrors GraphBLAST's densify-before-dense-op strategy.
 template <typename T>
 class DenseView {
  public:
@@ -96,6 +64,7 @@ class DenseView {
     switch (v.storage()) {
       case Storage::kDense:
         values_ = v.dense_values();
+        all_present_ = true;
         return;
       case Storage::kBitmap:
         values_ = v.dense_values();
@@ -103,6 +72,7 @@ class DenseView {
         return;
       case Storage::kSparse: break;
     }
+    if (v.nvals() == 0) return;
     const auto n = static_cast<std::size_t>(v.size());
     scratch_values_.resize(n);
     scratch_present_.assign(n, 0);
@@ -125,8 +95,12 @@ class DenseView {
     present_ = scratch_present_;
   }
 
+  /// Every position holds an entry (the viewed vector is dense).
+  [[nodiscard]] bool all_present() const noexcept { return all_present_; }
+
   [[nodiscard]] bool has(Index i) const noexcept {
-    return present_.empty() || present_[static_cast<std::size_t>(i)] != 0;
+    return present_.empty() ? all_present_
+                            : present_[static_cast<std::size_t>(i)] != 0;
   }
 
   /// Value at i; meaningful only when has(i).
@@ -137,6 +111,7 @@ class DenseView {
  private:
   std::span<const T> values_;
   std::span<const std::uint8_t> present_;
+  bool all_present_ = false;
   std::vector<T> scratch_values_;
   std::vector<std::uint8_t> scratch_present_;
 };
@@ -179,8 +154,8 @@ void for_each_entry(sim::Device& device, const Vector<T>& u, F f,
   }
 }
 
-/// Mask wrapper over a DenseView (value or structure semantics, with
-/// complement) so masked inner loops also avoid binary searches.
+/// Mask + descriptor resolved into an O(1) predicate over positions (value
+/// or structure semantics, with complement) on top of a DenseView.
 template <typename M>
 class FastMaskView {
  public:
@@ -190,11 +165,13 @@ class FastMaskView {
     if (mask != nullptr) view_.emplace(*mask, device);
   }
 
+  /// True when no mask constrains writes at all.
   [[nodiscard]] bool trivial() const noexcept {
     return !view_.has_value() && !complement_;
   }
 
   [[nodiscard]] bool allows(Index i) const noexcept {
+    // No mask: everything writable; complementing "all" blocks everything.
     if (!view_.has_value()) return !complement_;
     const bool set =
         view_->has(i) && (structure_ || (*view_)[i] != M{0});
@@ -207,53 +184,110 @@ class FastMaskView {
   bool complement_;
 };
 
-/// Merges dense (values, present) results into `w` under mask/replace rules.
-/// `all_present` short-circuits the common dense case.
-template <typename W, typename Mask>
-void write_back(sim::Device& device, Vector<W>& w, const Mask& mask,
-                std::vector<W>&& out_values,
-                const std::vector<std::uint8_t>& out_present,
-                bool all_present, bool replace) {
+/// Runs one operation as ONE launch that writes straight into w's buffers.
+/// `produce(i, value)` is called only where the mask allows i: it stores
+/// the operation's entry at i in `value` and returns true, or returns false
+/// where the operation has none. The kernel then applies
+///   final(i) = (allowed && produced) ? value : replace ? none : old w(i)
+/// writing every presence byte and counting kept entries in per-slot
+/// partials; w ends dense iff all n positions hold an entry, else bitmap.
+/// `everywhere` promises produce() always returns true: with a mask that
+/// cannot drop an entry the result is dense by construction, and the kernel
+/// skips presence bytes and counting. `per_position` is the traffic model
+/// of produce() (inputs read, value written) — the presence byte is added
+/// here. Every input view must be built before this call, since w's
+/// buffers are (re)sized here; position i reads only position i of w, so w
+/// may alias any input or the mask.
+template <typename W, typename M, typename Produce>
+void produce_into(sim::Device& device, const char* name, Vector<W>& w,
+                  const FastMaskView<M>& mask, bool replace, bool everywhere,
+                  sim::Schedule schedule, sim::Traffic per_position,
+                  Produce produce) {
   const Index n = w.size();
-  const auto un = static_cast<std::size_t>(n);
-  if (all_present && mask.trivial()) {
-    w.adopt_dense(std::move(out_values));
+  const bool keep_old = !replace && w.nvals() > 0;
+  if (everywhere && (mask.trivial() || (keep_old && w.is_dense()))) {
+    const std::span<W> values = w.begin_output(false).values;
+    device.launch(
+        name, n,
+        [&](std::int64_t i) {
+          W value{};
+          if (mask.allows(i) && produce(i, value)) {
+            values[static_cast<std::size_t>(i)] = value;
+          }
+        },
+        schedule, 0, nullptr, per_position);
+    w.commit_output(n);
     return;
   }
 
-  // final value/presence per position; probe old entries through a dense
-  // view so sparse outputs don't pay a binary search per position.
-  const DenseView<W> old_view(w, device);
-  std::vector<std::uint8_t> final_present(un, 0);
-  device.launch(
-      "grb::write_back", n,
-      [&](std::int64_t i) {
-        const auto ui = static_cast<std::size_t>(i);
-        const bool produced = all_present || out_present[ui] != 0;
-        if (mask.allows(i) && produced) {
-          final_present[ui] = 1;
-          return;
+  // Old entries the merge keeps: in place for dense/bitmap w (the values
+  // already sit in the output buffer), from a snapshot for sparse w.
+  std::optional<DenseView<W>> snapshot;
+  if (keep_old && w.is_sparse()) snapshot.emplace(w, device);
+  const bool old_in_place = keep_old && !w.is_sparse();
+  const bool old_dense = w.is_dense();
+  const auto out = w.begin_output(true);
+  const std::span<W> values = out.values;
+  const std::span<std::uint8_t> present = out.present;
+
+  const unsigned workers = device.num_workers();
+  const std::span<std::int64_t> partials =
+      device.scratch().get<std::int64_t>(sim::ScratchLane::kPartials,
+                                         workers);
+  const std::int64_t chunk =
+      std::max<std::int64_t>(1, n / (static_cast<std::int64_t>(workers) * 8));
+  std::atomic<std::int64_t> next{0};
+  device.launch_slots(
+      name,
+      [&](unsigned slot, unsigned num_slots) {
+        std::int64_t kept = 0;
+        const auto merge = [&](std::int64_t begin, std::int64_t end) {
+          for (std::int64_t i = begin; i < end; ++i) {
+            const auto ui = static_cast<std::size_t>(i);
+            W value{};
+            bool keep = true;
+            if (mask.allows(i) && produce(i, value)) {
+              values[ui] = value;
+            } else if (old_in_place) {
+              keep = old_dense || present[ui] != 0;
+            } else if (snapshot.has_value() && snapshot->has(i)) {
+              values[ui] = (*snapshot)[i];
+            } else {
+              keep = false;
+            }
+            present[ui] = keep ? 1 : 0;
+            kept += keep ? 1 : 0;
+          }
+        };
+        if (schedule == sim::Schedule::kStatic) {
+          const auto [begin, end] = sim::slot_range(slot, num_slots, n);
+          merge(begin, end);
+        } else {
+          for (;;) {
+            const std::int64_t begin =
+                next.fetch_add(chunk, std::memory_order_relaxed);
+            if (begin >= n) break;
+            merge(begin, std::min(begin + chunk, n));
+          }
         }
-        if (!replace && old_view.has(i)) {
-          final_present[ui] = 1;
-          out_values[ui] = old_view[i];
-        }
+        partials[slot] = kept;
       },
-      sim::Schedule::kStatic, 0, nullptr,
-      // Per position: the produced and old-presence probes plus the final
-      // presence byte; mask probes and the keep-old value copy are
-      // data-dependent and excluded (structural floor).
-      sim::Traffic{2, 1});
-
-  const std::int64_t kept = sim::count_if<std::uint8_t>(
-      device, final_present, [](std::uint8_t p) { return p != 0; });
-  if (kept == n) {
-    w.adopt_dense(std::move(out_values));
-    return;
-  }
-  // Bitmap install: no compaction — the next operation reads presence in
-  // O(1) through a DenseView.
-  w.adopt_bitmap(std::move(out_values), std::move(final_present), kept);
+      nullptr,
+      [n, schedule, per_position](unsigned slot, unsigned num_slots) {
+        // Unmodeled when produce() declared no model, or when a dynamic
+        // schedule leaves the per-slot split unknown after the fact.
+        if (!per_position.modeled() || schedule != sim::Schedule::kStatic) {
+          return sim::Traffic{};
+        }
+        const auto [begin, end] = sim::slot_range(slot, num_slots, n);
+        // Per position: produce()'s traffic plus the presence byte; one
+        // partial per slot.
+        return (per_position + sim::Traffic{0, 1}) * (end - begin) +
+               sim::Traffic{0, static_cast<std::int64_t>(sizeof(std::int64_t))};
+      });
+  std::int64_t kept = 0;
+  for (const std::int64_t partial : partials) kept += partial;
+  w.commit_output(kept);
 }
 
 }  // namespace detail
@@ -266,20 +300,22 @@ void write_back(sim::Device& device, Vector<W>& w, const Mask& mask,
 template <typename W, typename M, typename T>
 Info assign(Vector<W>& w, const Vector<M>* mask, T value,
             const Descriptor& desc = kDefaultDesc) {
-  auto& device = sim::Device::instance();
-  const detail::MaskView<M> view(mask, desc);
   if (mask != nullptr && mask->size() != w.size()) {
     return Info::kDimensionMismatch;
   }
-  if (view.trivial()) {
-    w.fill(static_cast<W>(value));
-    return Info::kSuccess;
-  }
-  std::vector<W> out(static_cast<std::size_t>(w.size()),
-                     static_cast<W>(value));
-  // assign produces an entry at every (masked) position.
-  detail::write_back(device, w, view, std::move(out), {}, /*all_present=*/true,
-                     desc.replace);
+  auto& device = sim::Device::instance();
+  const detail::FastMaskView<M> view(mask, desc, device);
+  const auto fill = static_cast<W>(value);
+  detail::produce_into(
+      device, "grb::assign", w, view, desc.replace, /*everywhere=*/true,
+      sim::Schedule::kStatic,
+      // Per position: the output store (mask probes are data-dependent and
+      // excluded: structural floor).
+      sim::Traffic{0, static_cast<std::int64_t>(sizeof(W))},
+      [fill](Index, W& out) {
+        out = fill;
+        return true;
+      });
   return Info::kSuccess;
 }
 
@@ -303,36 +339,19 @@ Info apply_indexed(Vector<W>& w, const Vector<M>* mask, F f,
     return Info::kDimensionMismatch;
   }
   auto& device = sim::Device::instance();
-  const detail::MaskView<M> view(mask, desc);
-  const Index n = w.size();
-  const auto un = static_cast<std::size_t>(n);
-  std::vector<W> out(un);
-  if (u.is_dense()) {
-    const auto uv = u.dense_values();
-    device.launch(
-        "grb::apply", n,
-        [&](std::int64_t i) {
-          out[static_cast<std::size_t>(i)] =
-              static_cast<W>(f(i, uv[static_cast<std::size_t>(i)]));
-        },
-        sim::Schedule::kStatic, 0, nullptr,
-        // Per position: one input gather and the output store.
-        sim::Traffic{static_cast<std::int64_t>(sizeof(U)),
-                     static_cast<std::int64_t>(sizeof(W))});
-    detail::write_back(device, w, view, std::move(out), {},
-                       /*all_present=*/true, desc.replace);
-    return Info::kSuccess;
-  }
-  std::vector<std::uint8_t> present(un, 0);
-  detail::for_each_entry(
-      device, u,
-      [&](Index i, U value) {
-        out[static_cast<std::size_t>(i)] = static_cast<W>(f(i, value));
-        present[static_cast<std::size_t>(i)] = 1;
-      },
-      "grb::apply");
-  detail::write_back(device, w, view, std::move(out), present,
-                     /*all_present=*/false, desc.replace);
+  const detail::FastMaskView<M> view(mask, desc, device);
+  const detail::DenseView<U> uview(u, device);
+  detail::produce_into(
+      device, "grb::apply", w, view, desc.replace, uview.all_present(),
+      sim::Schedule::kStatic,
+      // Per position: one input gather and the output store.
+      sim::Traffic{static_cast<std::int64_t>(sizeof(U)),
+                   static_cast<std::int64_t>(sizeof(W))},
+      [&](Index i, W& out) {
+        if (!uview.has(i)) return false;
+        out = static_cast<W>(f(i, uview[i]));
+        return true;
+      });
   return Info::kSuccess;
 }
 
@@ -371,57 +390,29 @@ Info eWiseAdd(Vector<W>& w, const Vector<M>* mask, Op op, const Vector<U>& u,
     return Info::kDimensionMismatch;
   }
   auto& device = sim::Device::instance();
-  const detail::MaskView<M> view(mask, desc);
-  const Index n = w.size();
-  const auto un = static_cast<std::size_t>(n);
-  std::vector<W> out(un);
-  const bool both_dense = u.is_dense() && v.is_dense();
-  if (both_dense) {
-    const auto uv = u.dense_values();
-    const auto vv = v.dense_values();
-    device.launch(
-        "grb::eWiseAdd", n,
-        [&](std::int64_t i) {
-          const auto ui = static_cast<std::size_t>(i);
-          out[ui] = static_cast<W>(
-              op(static_cast<W>(uv[ui]), static_cast<W>(vv[ui])));
-        },
-        sim::Schedule::kStatic, 0, nullptr,
-        // Per position: both input gathers and the output store.
-        sim::Traffic{static_cast<std::int64_t>(sizeof(U) + sizeof(V)),
-                     static_cast<std::int64_t>(sizeof(W))});
-    detail::write_back(device, w, view, std::move(out), {},
-                       /*all_present=*/true, desc.replace);
-    return Info::kSuccess;
-  }
-  std::vector<std::uint8_t> present(un, 0);
+  const detail::FastMaskView<M> view(mask, desc, device);
   const detail::DenseView<U> uview(u, device);
   const detail::DenseView<V> vview(v, device);
-  device.launch(
-      "grb::eWiseAdd", n,
-      [&](std::int64_t i) {
-        const auto ui = static_cast<std::size_t>(i);
+  detail::produce_into(
+      device, "grb::eWiseAdd", w, view, desc.replace,
+      uview.all_present() || vview.all_present(), sim::Schedule::kStatic,
+      // Per position, modeling the both-present path: both value gathers
+      // and the output store.
+      sim::Traffic{static_cast<std::int64_t>(sizeof(U) + sizeof(V)),
+                   static_cast<std::int64_t>(sizeof(W))},
+      [&](Index i, W& out) {
         const bool has_u = uview.has(i);
         const bool has_v = vview.has(i);
         if (has_u && has_v) {
-          out[ui] = static_cast<W>(
+          out = static_cast<W>(
               op(static_cast<W>(uview[i]), static_cast<W>(vview[i])));
-          present[ui] = 1;
         } else if (has_u) {
-          out[ui] = static_cast<W>(uview[i]);
-          present[ui] = 1;
+          out = static_cast<W>(uview[i]);
         } else if (has_v) {
-          out[ui] = static_cast<W>(vview[i]);
-          present[ui] = 1;
+          out = static_cast<W>(vview[i]);
         }
-      },
-      sim::Schedule::kStatic, 0, nullptr,
-      // Per position, modeling the both-present path: two presence probes,
-      // both value gathers, the output store and its present byte.
-      sim::Traffic{2 + static_cast<std::int64_t>(sizeof(U) + sizeof(V)),
-                   static_cast<std::int64_t>(sizeof(W)) + 1});
-  detail::write_back(device, w, view, std::move(out), present,
-                     /*all_present=*/false, desc.replace);
+        return has_u || has_v;
+      });
   return Info::kSuccess;
 }
 
@@ -443,48 +434,21 @@ Info eWiseMult(Vector<W>& w, const Vector<M>* mask, Op op, const Vector<U>& u,
     return Info::kDimensionMismatch;
   }
   auto& device = sim::Device::instance();
-  const detail::MaskView<M> view(mask, desc);
-  const Index n = w.size();
-  const auto un = static_cast<std::size_t>(n);
-  std::vector<W> out(un);
-  if (u.is_dense() && v.is_dense()) {
-    const auto uv = u.dense_values();
-    const auto vv = v.dense_values();
-    device.launch(
-        "grb::eWiseMult", n,
-        [&](std::int64_t i) {
-          const auto ui = static_cast<std::size_t>(i);
-          out[ui] = static_cast<W>(
-              op(static_cast<W>(uv[ui]), static_cast<W>(vv[ui])));
-        },
-        sim::Schedule::kStatic, 0, nullptr,
-        // Per position: both input gathers and the output store.
-        sim::Traffic{static_cast<std::int64_t>(sizeof(U) + sizeof(V)),
-                     static_cast<std::int64_t>(sizeof(W))});
-    detail::write_back(device, w, view, std::move(out), {},
-                       /*all_present=*/true, desc.replace);
-    return Info::kSuccess;
-  }
-  std::vector<std::uint8_t> present(un, 0);
+  const detail::FastMaskView<M> view(mask, desc, device);
   const detail::DenseView<U> uview(u, device);
   const detail::DenseView<V> vview(v, device);
-  device.launch(
-      "grb::eWiseMult", n,
-      [&](std::int64_t i) {
-        const auto ui = static_cast<std::size_t>(i);
-        if (uview.has(i) && vview.has(i)) {
-          out[ui] = static_cast<W>(
-              op(static_cast<W>(uview[i]), static_cast<W>(vview[i])));
-          present[ui] = 1;
-        }
-      },
-      sim::Schedule::kStatic, 0, nullptr,
-      // Per position, modeling the both-present path: two presence probes,
-      // both value gathers, the output store and its present byte.
-      sim::Traffic{2 + static_cast<std::int64_t>(sizeof(U) + sizeof(V)),
-                   static_cast<std::int64_t>(sizeof(W)) + 1});
-  detail::write_back(device, w, view, std::move(out), present,
-                     /*all_present=*/false, desc.replace);
+  detail::produce_into(
+      device, "grb::eWiseMult", w, view, desc.replace,
+      uview.all_present() && vview.all_present(), sim::Schedule::kStatic,
+      // Per position: both value gathers and the output store.
+      sim::Traffic{static_cast<std::int64_t>(sizeof(U) + sizeof(V)),
+                   static_cast<std::int64_t>(sizeof(W))},
+      [&](Index i, W& out) {
+        if (!uview.has(i) || !vview.has(i)) return false;
+        out = static_cast<W>(
+            op(static_cast<W>(uview[i]), static_cast<W>(vview[i])));
+        return true;
+      });
   return Info::kSuccess;
 }
 
@@ -500,10 +464,13 @@ Info eWiseMult(Vector<W>& w, std::nullptr_t, Op op, const Vector<U>& u,
 /// w<mask> = u ⊕.⊗ A over the given semiring. The Matrix wraps an undirected
 /// graph's CSR (A = Aᵀ), so row j doubles as column j.
 ///
-/// Pull: one launch over output positions the mask allows — this is where
-/// masking "avoids many memory accesses" (paper §III-A1). Push: one launch
-/// over u's stored entries, scattering with CAS-loop atomics (integral W
-/// only; other types always pull).
+/// Pull: one launch over output positions, gathering only rows the mask
+/// allows — this is where masking "avoids many memory accesses" (paper
+/// §III-A1) — and merging into w in place. Push: one launch over u's stored
+/// entries, scattering with CAS-loop atomics (integral W only; other types
+/// always pull) into a temporary, then one merge launch into w. When w
+/// aliases u, u is snapshotted first: a row's gather reads positions other
+/// rows overwrite.
 template <typename W, typename M, typename U, typename A, typename AddMonoid,
           typename MulOp>
 Info vxm(Vector<W>& w, const Vector<M>* mask,
@@ -515,10 +482,15 @@ Info vxm(Vector<W>& w, const Vector<M>* mask,
   if (mask != nullptr && mask->size() != w.size()) {
     return Info::kDimensionMismatch;
   }
+  if constexpr (std::is_same_v<W, U>) {
+    if (&w == &u) {
+      const Vector<U> snapshot = u;
+      return vxm(w, mask, semiring, snapshot, a, desc);
+    }
+  }
   auto& device = sim::Device::instance();
   const detail::FastMaskView<M> view(mask, desc, device);
   const Index n = w.size();
-  const auto un = static_cast<std::size_t>(n);
   const graph::Csr& csr = a.csr();
 
   bool push;
@@ -542,115 +514,18 @@ Info vxm(Vector<W>& w, const Vector<M>* mask,
   }
 
   const W identity = static_cast<W>(semiring.add.identity);
-  std::vector<W> out(un, identity);
-  std::vector<std::uint8_t> present(un, 0);
 
-  if (push) {
-    // Per-edge combine shared by both push schedules: CAS under the add
-    // monoid (integral W only — non-integral W was forced to pull above).
-    const auto combine_edge = [&](Index j, U ui_value, eid_t e) {
-      if (!view.allows(j)) return;
-      const W product = static_cast<W>(semiring.mul(
-          static_cast<W>(ui_value), static_cast<W>(a.value_at(e))));
-      if constexpr (std::is_integral_v<W>) {
-        std::atomic_ref<W> slot(out[static_cast<std::size_t>(j)]);
-        W observed = slot.load(std::memory_order_relaxed);
-        W desired = static_cast<W>(semiring.add(observed, product));
-        while (desired != observed &&
-               !slot.compare_exchange_weak(observed, desired,
-                                           std::memory_order_relaxed)) {
-          desired = static_cast<W>(semiring.add(observed, product));
-        }
-        sim::atomic_store(present[static_cast<std::size_t>(j)],
-                          std::uint8_t{1});
-      } else {
-        (void)product;
-      }
-    };
-
-    // Edge-balanced push (merge-path over a frontier degree scan): a hub
-    // row's scatter splits across workers instead of serializing on the one
-    // that drew the entry — the Gunrock-advance treatment applied to the
-    // GraphBLAST push traversal. Only once the frontier is large enough to
-    // amortize the scan's extra launches; small frontiers keep the
-    // single-launch row walk.
-    const bool balanced =
-        desc.push_edge_balanced && u.is_sparse() &&
-        static_cast<std::int64_t>(u.nvals()) >= kPushEdgeBalanceMinEntries;
-    if (balanced) {
-      const auto indices = u.sparse_indices();
-      const auto uvals = u.sparse_values();
-      const auto nvals = static_cast<std::int64_t>(indices.size());
-      const std::span<eid_t> offsets = device.scratch().get<eid_t>(
-          sim::ScratchLane::kDegrees, static_cast<std::size_t>(nvals) + 1);
-      device.launch(
-          "grb::vxm_degrees", nvals,
-          [&](std::int64_t k) {
-            const auto row = static_cast<std::size_t>(
-                indices[static_cast<std::size_t>(k)]);
-            offsets[static_cast<std::size_t>(k)] =
-                csr.row_offsets[row + 1] - csr.row_offsets[row];
-          },
-          sim::Schedule::kStatic, 0, nullptr,
-          // Per frontier entry: the index gather, the row-offset pair, and
-          // the degree store.
-          sim::Traffic{
-              static_cast<std::int64_t>(sizeof(Index) + 2 * sizeof(eid_t)),
-              static_cast<std::int64_t>(sizeof(eid_t))});
-      const eid_t total = sim::exclusive_scan<eid_t>(
-          device, offsets.first(static_cast<std::size_t>(nvals)),
-          offsets.first(static_cast<std::size_t>(nvals)));
-      offsets[static_cast<std::size_t>(nvals)] = total;
-      sim::for_each_segment_range<eid_t>(
-          device, "grb::vxm_push", offsets,
-          [&](std::int64_t s, std::int64_t local_begin,
-              std::int64_t local_end, std::int64_t /*global_begin*/) {
-            const auto su = static_cast<std::size_t>(s);
-            const auto row = static_cast<std::size_t>(indices[su]);
-            const U ui_value = uvals[su];
-            const eid_t row_begin = csr.row_offsets[row];
-            for (std::int64_t k = local_begin; k < local_end; ++k) {
-              const auto e = static_cast<eid_t>(
-                  row_begin + static_cast<eid_t>(k));
-              combine_edge(static_cast<Index>(
-                               csr.col_indices[static_cast<std::size_t>(e)]),
-                           ui_value, e);
-            }
-          },
-          nullptr,
-          // Per edge: one column gather plus the CAS read-modify-write of
-          // the accumulator and the present-byte store. Mask early-outs and
-          // CAS retries are data-dependent and excluded (structural floor).
-          sim::Traffic{static_cast<std::int64_t>(sizeof(vid_t) + sizeof(W)),
-                       static_cast<std::int64_t>(sizeof(W)) + 1});
-    } else {
-      detail::for_each_entry(
-          device, u,
-          [&](Index i, U ui_value) {
-            const auto row = static_cast<vid_t>(i);
-            const eid_t begin = csr.row_offsets[static_cast<std::size_t>(row)];
-            const eid_t end =
-                csr.row_offsets[static_cast<std::size_t>(row) + 1];
-            for (eid_t e = begin; e < end; ++e) {
-              combine_edge(static_cast<Index>(
-                               csr.col_indices[static_cast<std::size_t>(e)]),
-                           ui_value, e);
-            }
-          },
-          "grb::vxm_push");
-    }
-  } else {
+  if (!push) {
     const detail::DenseView<U> uview(u, device);
-    device.launch(
-        "grb::vxm_pull", n,
-        [&](std::int64_t j) {
-          if (!view.allows(j)) return;
-          const auto row = static_cast<vid_t>(j);
-          const eid_t begin = csr.row_offsets[static_cast<std::size_t>(row)];
-          const eid_t end = csr.row_offsets[static_cast<std::size_t>(row) + 1];
+    detail::produce_into(
+        device, "grb::vxm_pull", w, view, desc.replace, /*everywhere=*/false,
+        sim::Schedule::kDynamic, sim::Traffic{},
+        [&](Index j, W& out) {
+          const auto row = static_cast<std::size_t>(j);
+          const eid_t end = csr.row_offsets[row + 1];
           W acc = identity;
           bool hit = false;
-          for (eid_t e = begin; e < end; ++e) {
+          for (eid_t e = csr.row_offsets[row]; e < end; ++e) {
             const auto i = static_cast<Index>(
                 csr.col_indices[static_cast<std::size_t>(e)]);
             if (!uview.has(i)) continue;
@@ -660,16 +535,118 @@ Info vxm(Vector<W>& w, const Vector<M>* mask,
                          static_cast<W>(a.value_at(e))))));
             hit = true;
           }
-          if (hit) {
-            out[static_cast<std::size_t>(j)] = acc;
-            present[static_cast<std::size_t>(j)] = 1;
-          }
-        },
-        sim::Schedule::kDynamic);
+          out = acc;
+          return hit;
+        });
+    return Info::kSuccess;
   }
 
-  detail::write_back(device, w, view, std::move(out), present,
-                     /*all_present=*/false, desc.replace);
+  const auto un = static_cast<std::size_t>(n);
+  std::vector<W> out(un, identity);
+  std::vector<std::uint8_t> present(un, 0);
+  // Per-edge combine shared by both push schedules: CAS under the add
+  // monoid (integral W only — non-integral W was forced to pull above).
+  const auto combine_edge = [&](Index j, U ui_value, eid_t e) {
+    if (!view.allows(j)) return;
+    const W product = static_cast<W>(semiring.mul(
+        static_cast<W>(ui_value), static_cast<W>(a.value_at(e))));
+    if constexpr (std::is_integral_v<W>) {
+      std::atomic_ref<W> slot(out[static_cast<std::size_t>(j)]);
+      W observed = slot.load(std::memory_order_relaxed);
+      W desired = static_cast<W>(semiring.add(observed, product));
+      while (desired != observed &&
+             !slot.compare_exchange_weak(observed, desired,
+                                         std::memory_order_relaxed)) {
+        desired = static_cast<W>(semiring.add(observed, product));
+      }
+      sim::atomic_store(present[static_cast<std::size_t>(j)],
+                        std::uint8_t{1});
+    } else {
+      (void)product;
+    }
+  };
+
+  // Edge-balanced push (merge-path over a frontier degree scan): a hub
+  // row's scatter splits across workers instead of serializing on the one
+  // that drew the entry — the Gunrock-advance treatment applied to the
+  // GraphBLAST push traversal. Only once the frontier is large enough to
+  // amortize the scan's extra launches; small frontiers keep the
+  // single-launch row walk.
+  const bool balanced =
+      desc.push_edge_balanced && u.is_sparse() &&
+      static_cast<std::int64_t>(u.nvals()) >= kPushEdgeBalanceMinEntries;
+  if (balanced) {
+    const auto indices = u.sparse_indices();
+    const auto uvals = u.sparse_values();
+    const auto nvals = static_cast<std::int64_t>(indices.size());
+    const std::span<eid_t> offsets = device.scratch().get<eid_t>(
+        sim::ScratchLane::kDegrees, static_cast<std::size_t>(nvals) + 1);
+    device.launch(
+        "grb::vxm_degrees", nvals,
+        [&](std::int64_t k) {
+          const auto row = static_cast<std::size_t>(
+              indices[static_cast<std::size_t>(k)]);
+          offsets[static_cast<std::size_t>(k)] =
+              csr.row_offsets[row + 1] - csr.row_offsets[row];
+        },
+        sim::Schedule::kStatic, 0, nullptr,
+        // Per frontier entry: the index gather, the row-offset pair, and
+        // the degree store.
+        sim::Traffic{
+            static_cast<std::int64_t>(sizeof(Index) + 2 * sizeof(eid_t)),
+            static_cast<std::int64_t>(sizeof(eid_t))});
+    const eid_t total = sim::exclusive_scan<eid_t>(
+        device, offsets.first(static_cast<std::size_t>(nvals)),
+        offsets.first(static_cast<std::size_t>(nvals)));
+    offsets[static_cast<std::size_t>(nvals)] = total;
+    sim::for_each_segment_range<eid_t>(
+        device, "grb::vxm_push", offsets,
+        [&](std::int64_t s, std::int64_t local_begin, std::int64_t local_end,
+            std::int64_t /*global_begin*/) {
+          const auto su = static_cast<std::size_t>(s);
+          const auto row = static_cast<std::size_t>(indices[su]);
+          const U ui_value = uvals[su];
+          const eid_t row_begin = csr.row_offsets[row];
+          for (std::int64_t k = local_begin; k < local_end; ++k) {
+            const auto e =
+                static_cast<eid_t>(row_begin + static_cast<eid_t>(k));
+            combine_edge(static_cast<Index>(
+                             csr.col_indices[static_cast<std::size_t>(e)]),
+                         ui_value, e);
+          }
+        },
+        nullptr,
+        // Per edge: one column gather plus the CAS read-modify-write of the
+        // accumulator and the present-byte store. Mask early-outs and CAS
+        // retries are data-dependent and excluded (structural floor).
+        sim::Traffic{static_cast<std::int64_t>(sizeof(vid_t) + sizeof(W)),
+                     static_cast<std::int64_t>(sizeof(W)) + 1});
+  } else {
+    detail::for_each_entry(
+        device, u,
+        [&](Index i, U ui_value) {
+          const auto row = static_cast<std::size_t>(i);
+          const eid_t end = csr.row_offsets[row + 1];
+          for (eid_t e = csr.row_offsets[row]; e < end; ++e) {
+            combine_edge(static_cast<Index>(
+                             csr.col_indices[static_cast<std::size_t>(e)]),
+                         ui_value, e);
+          }
+        },
+        "grb::vxm_push");
+  }
+  detail::produce_into(
+      device, "grb::vxm_merge", w, view, desc.replace, /*everywhere=*/false,
+      sim::Schedule::kStatic,
+      // Per position: the scattered presence byte and accumulator, then the
+      // output store.
+      sim::Traffic{1 + static_cast<std::int64_t>(sizeof(W)),
+                   static_cast<std::int64_t>(sizeof(W))},
+      [&](Index j, W& value) {
+        const auto uj = static_cast<std::size_t>(j);
+        value = out[uj];
+        return present[uj] != 0;
+      });
   return Info::kSuccess;
 }
 
@@ -704,46 +681,57 @@ Info mxv(Vector<W>& w, std::nullptr_t, Semiring<AddMonoid, MulOp> semiring,
 
 // ---- GrB_reduce ---------------------------------------------------------------
 
-/// *out = monoid-reduction over u's stored entries. Missing positions
-/// contribute the monoid identity, so a single dense pass serves every
-/// storage kind.
+/// *out = monoid-reduction over u's stored entries, in one launch: each slot
+/// folds its block of positions (or, for sparse storage, of stored values)
+/// into a partial, skipping missing bitmap positions; the host folds the
+/// per-slot partials.
 template <typename T, typename U, typename Op>
 Info reduce(T* out, Monoid<Op, T> monoid, const Vector<U>& u,
             const Descriptor& = kDefaultDesc) {
   if (out == nullptr) return Info::kInvalidValue;
   auto& device = sim::Device::instance();
-  if (u.is_sparse()) {
-    const auto values = u.sparse_values();
-    std::vector<T> cast(values.size());
-    device.launch(
-        "grb::reduce_cast", static_cast<std::int64_t>(values.size()),
-        [&](std::int64_t i) {
-          cast[static_cast<std::size_t>(i)] =
-              static_cast<T>(values[static_cast<std::size_t>(i)]);
-        },
-        sim::Schedule::kStatic, 0, nullptr,
-        // Per entry: one value gather and the widened store.
-        sim::Traffic{static_cast<std::int64_t>(sizeof(U)),
-                     static_cast<std::int64_t>(sizeof(T))});
-    *out = sim::reduce<T>(device, cast, monoid.identity,
-                          [&](T x, T y) { return monoid(x, y); });
+  const std::span<const U> values =
+      u.is_sparse() ? u.sparse_values() : u.dense_values();
+  const std::span<const std::uint8_t> present =
+      u.is_bitmap() ? u.bitmap_present() : std::span<const std::uint8_t>{};
+  const auto n = static_cast<std::int64_t>(values.size());
+  if (n == 0) {
+    *out = monoid.identity;
     return Info::kSuccess;
   }
-  const detail::DenseView<U> view(u, device);
-  std::vector<T> cast(static_cast<std::size_t>(u.size()));
-  device.launch(
-      "grb::reduce_cast", u.size(),
-      [&](std::int64_t i) {
-        cast[static_cast<std::size_t>(i)] =
-            view.has(i) ? static_cast<T>(view[i]) : monoid.identity;
+  const std::span<T> partials = device.scratch().get<T>(
+      sim::ScratchLane::kPartials, device.num_workers());
+  device.launch_slots(
+      "grb::reduce",
+      [&](unsigned slot, unsigned num_slots) {
+        const auto [begin, end] = sim::slot_range(slot, num_slots, n);
+        T acc = monoid.identity;
+        if (present.empty()) {
+          for (std::int64_t i = begin; i < end; ++i) {
+            acc = monoid(acc,
+                         static_cast<T>(values[static_cast<std::size_t>(i)]));
+          }
+        } else {
+          for (std::int64_t i = begin; i < end; ++i) {
+            const auto ui = static_cast<std::size_t>(i);
+            if (present[ui] != 0) acc = monoid(acc, static_cast<T>(values[ui]));
+          }
+        }
+        partials[slot] = acc;
       },
-      sim::Schedule::kStatic, 0, nullptr,
-      // Per position: the presence probe, the value gather, and the widened
-      // store.
-      sim::Traffic{1 + static_cast<std::int64_t>(sizeof(U)),
-                   static_cast<std::int64_t>(sizeof(T))});
-  *out = sim::reduce<T>(device, cast, monoid.identity,
-                        [&](T x, T y) { return monoid(x, y); });
+      nullptr,
+      [n, bitmap = !present.empty()](unsigned slot, unsigned num_slots) {
+        const auto [begin, end] = sim::slot_range(slot, num_slots, n);
+        // Per position: the value gather (plus the present byte for bitmap
+        // storage); one partial per slot.
+        return sim::Traffic{
+            (end - begin) *
+                (static_cast<std::int64_t>(sizeof(U)) + (bitmap ? 1 : 0)),
+            static_cast<std::int64_t>(sizeof(T))};
+      });
+  T result = monoid.identity;
+  for (const T& partial : partials) result = monoid(result, partial);
+  *out = result;
   return Info::kSuccess;
 }
 
@@ -764,7 +752,7 @@ Info scatter(Vector<W>& w, const Vector<M>* mask, const Vector<U>& u, T value,
     return Info::kDimensionMismatch;
   }
   auto& device = sim::Device::instance();
-  const detail::MaskView<M> view(mask, desc);
+  const detail::FastMaskView<M> view(mask, desc, device);
   auto wv = w.dense_values();
   const Index bound = w.size();
   detail::for_each_entry(

@@ -14,11 +14,20 @@
 //     merge step never pays an O(nvals) compaction.
 // Conversions never change semantics (which positions hold entries and
 // their values), except densify()'s documented fill.
+//
+// Buffers keep their capacity across representation changes and are grown
+// without initialization: ops.hpp writes every result position into the
+// vector's own buffers, so a vector reused round after round neither
+// reallocates nor pays a host-side O(n) fill.
 
 #include <algorithm>
 #include <cassert>
 #include <cstdint>
+#include <memory>
+#include <new>
 #include <span>
+#include <type_traits>
+#include <utility>
 #include <vector>
 
 #include "graphblas/types.hpp"
@@ -26,6 +35,34 @@
 namespace gcol::grb {
 
 enum class Storage { kSparse, kDense, kBitmap };
+
+namespace detail {
+
+/// std::allocator whose value-less construct() default-initializes, so
+/// resize() over trivial elements leaves them uninitialized instead of
+/// zero-filling on the host.
+template <typename T>
+struct DefaultInitAllocator : std::allocator<T> {
+  template <typename U>
+  struct rebind {
+    using other = DefaultInitAllocator<U>;
+  };
+  using std::allocator<T>::allocator;
+
+  template <typename U>
+  void construct(U* p) noexcept(std::is_nothrow_default_constructible_v<U>) {
+    ::new (static_cast<void*>(p)) U;
+  }
+  template <typename U, typename... Args>
+  void construct(U* p, Args&&... args) {
+    std::construct_at(p, std::forward<Args>(args)...);
+  }
+};
+
+template <typename T>
+using Buffer = std::vector<T, DefaultInitAllocator<T>>;
+
+}  // namespace detail
 
 template <typename T>
 class Vector {
@@ -179,8 +216,8 @@ class Vector {
       }
       case Storage::kSparse: break;
     }
-    std::vector<T> dense_values(static_cast<std::size_t>(size_),
-                                missing_value);
+    detail::Buffer<T> dense_values(static_cast<std::size_t>(size_),
+                                   missing_value);
     for (std::size_t k = 0; k < indices_.size(); ++k) {
       dense_values[static_cast<std::size_t>(indices_[k])] = values_[k];
     }
@@ -219,13 +256,14 @@ class Vector {
     return values_;
   }
 
-  /// Install computed representations wholesale (used by ops.hpp so results
-  /// move in without copies). `indices` must be strictly ascending.
+  /// Install representations wholesale (test and set-up helper; the
+  /// contents are copied into the vector's own buffers). `indices` must be
+  /// strictly ascending.
   void adopt_sparse(std::vector<Index>&& indices, std::vector<T>&& values) {
     assert(indices.size() == values.size());
     storage_ = Storage::kSparse;
     indices_ = std::move(indices);
-    values_ = std::move(values);
+    values_.assign(values.begin(), values.end());
     present_.clear();
     nvals_ = 0;
   }
@@ -235,7 +273,7 @@ class Vector {
     storage_ = Storage::kDense;
     indices_.clear();
     present_.clear();
-    values_ = std::move(values);
+    values_.assign(values.begin(), values.end());
     nvals_ = size_;
   }
 
@@ -245,17 +283,47 @@ class Vector {
     assert(static_cast<Index>(present.size()) == size_);
     storage_ = Storage::kBitmap;
     indices_.clear();
-    values_ = std::move(values);
-    present_ = std::move(present);
+    values_.assign(values.begin(), values.end());
+    present_.assign(present.begin(), present.end());
+    nvals_ = nvals;
+  }
+
+  // -- in-place results (ops.hpp) -------------------------------------------
+
+  /// The vector's own values (and, with `with_present`, presence) buffers
+  /// sized to size() for an operation to write its result into. Growth is
+  /// uninitialized and capacity is never released, so repeated operations
+  /// on the same vector reuse one allocation. Dense and bitmap contents
+  /// survive (an operation may read its old entries in place); a sparse
+  /// vector's entries do not — snapshot them first. The vector is
+  /// unusable until commit_output().
+  struct OutputBuffers {
+    std::span<T> values;
+    std::span<std::uint8_t> present;
+  };
+  [[nodiscard]] OutputBuffers begin_output(bool with_present) {
+    const auto n = static_cast<std::size_t>(size_);
+    indices_.clear();
+    values_.resize(n);
+    if (!with_present) return {values_, {}};
+    present_.resize(n);
+    return {values_, present_};
+  }
+
+  /// Installs the result begin_output()'s buffers now hold, `nvals` entries
+  /// in all: dense when every position holds one (presence bytes are then
+  /// ignored), bitmap otherwise.
+  void commit_output(Index nvals) noexcept {
+    storage_ = nvals == size_ ? Storage::kDense : Storage::kBitmap;
     nvals_ = nvals;
   }
 
  private:
   Index size_ = 0;
   Storage storage_ = Storage::kSparse;
-  std::vector<T> values_;
-  std::vector<Index> indices_;         // sparse only
-  std::vector<std::uint8_t> present_;  // bitmap only
+  detail::Buffer<T> values_;
+  std::vector<Index> indices_;            // sparse only
+  detail::Buffer<std::uint8_t> present_;  // bitmap only
   Index nvals_ = 0;                    // bitmap only
 };
 
