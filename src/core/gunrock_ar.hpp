@@ -2,11 +2,12 @@
 // Gunrock Advance Neighbor-Reduce coloring — the paper's Algorithm 7
 // (`Gunrock/Color_AR`, the Table II baseline). It replaces IS's serial
 // per-vertex neighbor loop with a load-balanced advance + segmented
-// reduction over the neighbor frontier. The paper's finding — that the
-// overhead of materializing the neighbor frontier and the extra global
-// synchronizations outweigh the load-balancing benefit on mesh graphs —
-// reproduces here: each iteration costs ~7 kernel launches and an O(m)
-// materialization versus IS's single fused compute launch.
+// reduction over the neighbor frontier. The paper finds that materializing
+// the neighbor frontier and the extra global synchronizations outweigh the
+// load-balancing benefit on mesh graphs. Here the neighbor-reduce is fused
+// (no materialized neighbor frontier) and colored vertices retire to the
+// reduce identity, so each neighbor visit is one load; AR still pays more
+// launches per round than IS, but not more time (EXPERIMENTS.md, Table II).
 //
 // One color per iteration: "the Reduce operator consumes the Advance
 // neighbor frontier; reusing the frontier for a second comparison is not

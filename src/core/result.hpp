@@ -87,7 +87,10 @@ struct Options {
   /// deterministic algorithms — colors are identical either way; rounds
   /// whose grid shape varies fall back to eager launches automatically.
   /// The GraphBLAS family (grb_is, grb_jpl, grb_jpl_pure, grb_mis) ignores
-  /// it: each grb:: operation is already one in-place launch.
+  /// it: each grb:: operation is already one in-place launch. Gunrock AR
+  /// (gunrock_ar, gunrock_ar_fused) ignores it too: its frontier filter
+  /// writes the priorities the next reduce reads, so the two cannot share a
+  /// barrier interval, and its eager rounds were never slower.
   bool graph_replay = false;
 };
 

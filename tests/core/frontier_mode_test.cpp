@@ -10,10 +10,17 @@
 // exclusion as the determinism property test). The TSan CI job runs both,
 // so the bitmap kernels' word-owner writes and atomic-OR publishes get
 // race-checked under every direction.
+//
+// The Gunrock AR colorings additionally match a serial reference in every
+// mode, on shapes whose hubs span more than one bitmap word and more than
+// one merge-path segment: a round colors each uncolored vertex whose packed
+// priority beats every neighbor that was uncolored when the round began.
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
+#include <limits>
 #include <string>
 #include <tuple>
 #include <vector>
@@ -23,8 +30,11 @@
 #include "graph/build.hpp"
 #include "graph/generators/erdos_renyi.hpp"
 #include "graph/generators/rgg.hpp"
+#include "graph/generators/rmat.hpp"
 #include "gunrock/frontier.hpp"
 #include "sim/device.hpp"
+#include "sim/rng.hpp"
+#include "testing/fixtures.hpp"
 
 namespace gcol::color {
 namespace {
@@ -129,6 +139,113 @@ INSTANTIATE_TEST_SUITE_P(
       // No structured bindings here: the macro would split on their commas.
       return std::get<0>(param_info.param) + "_" +
              family_name(std::get<1>(param_info.param)) + "_" +
+             mode_tag(std::get<2>(param_info.param));
+    });
+
+// ---- Gunrock AR serial reference --------------------------------------------
+
+enum class Shape { kRmatHub, kStar, kClique, kErdosRenyi };
+
+const char* shape_name(Shape shape) {
+  switch (shape) {
+    case Shape::kRmatHub: return "RmatHub";
+    case Shape::kStar: return "Star200";
+    case Shape::kClique: return "K65";
+    case Shape::kErdosRenyi: return "Gnm";
+  }
+  return "Unknown";
+}
+
+graph::Csr make_shape(Shape shape) {
+  switch (shape) {
+    case Shape::kRmatHub:
+      return graph::build_csr(graph::generate_rmat(9, 8, {.seed = 5}));
+    case Shape::kStar: return testing::star_graph(201);  // K_{1,200}
+    case Shape::kClique: return testing::clique_graph(65);
+    case Shape::kErdosRenyi:
+      return graph::build_csr(graph::generate_erdos_renyi(600, 3000, 42));
+  }
+  return {};
+}
+
+/// Algorithm 7 run serially, one BSP round at a time. The plain variant
+/// gives round r's local maxima color r; the fused variant gives them 2r
+/// and the remaining local minima 2r + 1.
+std::vector<std::int32_t> ar_reference(const graph::Csr& csr,
+                                       std::uint64_t seed, bool fused) {
+  const auto un = static_cast<std::size_t>(csr.num_vertices);
+  const sim::CounterRng rng(seed);
+  std::vector<std::int64_t> priority(un);
+  for (vid_t v = 0; v < csr.num_vertices; ++v) {
+    priority[static_cast<std::size_t>(v)] =
+        (static_cast<std::int64_t>(
+             rng.uniform_int31(static_cast<std::uint64_t>(v)))
+         << 32) |
+        v;
+  }
+  std::vector<std::int32_t> colors(un, kUncolored);
+  for (std::int32_t round = 0;
+       std::count(colors.begin(), colors.end(), kUncolored) > 0; ++round) {
+    const std::vector<std::int32_t> start = colors;
+    for (vid_t v = 0; v < csr.num_vertices; ++v) {
+      const auto uv = static_cast<std::size_t>(v);
+      if (start[uv] != kUncolored) continue;
+      std::int64_t max = std::numeric_limits<std::int64_t>::min();
+      std::int64_t min = std::numeric_limits<std::int64_t>::max();
+      for (const vid_t u : csr.neighbors(v)) {
+        const auto uu = static_cast<std::size_t>(u);
+        if (start[uu] != kUncolored) continue;
+        max = std::max(max, priority[uu]);
+        min = std::min(min, priority[uu]);
+      }
+      if (priority[uv] > max) {
+        colors[uv] = fused ? 2 * round : round;
+      } else if (fused && priority[uv] < min) {
+        colors[uv] = 2 * round + 1;
+      }
+    }
+  }
+  return colors;
+}
+
+using ArParam = std::tuple<std::string, Shape, gr::FrontierMode>;
+
+class ArReferenceTest : public ::testing::TestWithParam<ArParam> {};
+
+TEST_P(ArReferenceTest, MatchesSerialReference) {
+  const auto& [algorithm_name, shape, mode] = GetParam();
+  const graph::Csr csr = make_shape(shape);
+  if (shape == Shape::kRmatHub || shape == Shape::kStar) {
+    ASSERT_GT(csr.max_degree(), 64) << "hub must span more than one word";
+  }
+  const Coloring result = run(*find_algorithm(algorithm_name), csr, mode);
+  EXPECT_EQ(result.colors,
+            ar_reference(csr, 99, algorithm_name == "gunrock_ar_fused"))
+      << algorithm_name << " (" << gr::to_string(mode) << ") on "
+      << shape_name(shape);
+  EXPECT_TRUE(is_valid_coloring(csr, result.colors));
+}
+
+std::vector<ArParam> make_ar_params() {
+  std::vector<ArParam> params;
+  for (const char* name : {"gunrock_ar", "gunrock_ar_fused"}) {
+    for (const Shape shape : {Shape::kRmatHub, Shape::kStar, Shape::kClique,
+                              Shape::kErdosRenyi}) {
+      for (const gr::FrontierMode mode :
+           {gr::FrontierMode::kSparse, gr::FrontierMode::kBitmapPush,
+            gr::FrontierMode::kBitmapPull, gr::FrontierMode::kAuto}) {
+        params.emplace_back(name, shape, mode);
+      }
+    }
+  }
+  return params;
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    GunrockAr, ArReferenceTest, ::testing::ValuesIn(make_ar_params()),
+    [](const ::testing::TestParamInfo<ArParam>& param_info) {
+      return std::get<0>(param_info.param) + "_" +
+             shape_name(std::get<1>(param_info.param)) + "_" +
              mode_tag(std::get<2>(param_info.param));
     });
 

@@ -48,8 +48,8 @@ graph::Csr make_graph(Family family) {
       // Sparse: long shrinking-frontier tails, the regime replay targets.
       return graph::build_csr(graph::generate_erdos_renyi(600, 3000, 42));
     case Family::kRmat:
-      // Power-law: skewed degrees push the AR push/pull fallback boundary,
-      // so both the replayed pull graphs and the eager push fallback run.
+      // Power-law: skewed degrees move the push/pull boundary, so both the
+      // replayed pull graphs and the eager push fallback run.
       return graph::build_csr(graph::generate_rmat(9, 8, {.seed = 5}));
     case Family::kRgg:
       return graph::build_csr(graph::generate_rgg(9, {.seed = 7}));
